@@ -153,13 +153,33 @@ func TestFlightRecorderE2E(t *testing.T) {
 	if hdr["type"] != "flight" || hdr["verdict"] != "unknown" || hdr["reason"] != "deadline" || hdr["trigger"] != "unknown" {
 		t.Errorf("header = %v", hdr)
 	}
-	if hdr["transform"] != "hard" || hdr["span_path"] == "" {
+	if hdr["transform"] != "hard" || hdr["span_path"] == "" || hdr["gave_up_phase"] == nil {
 		t.Errorf("header identity = %v", hdr)
 	}
 	for _, rec := range recs[1:] {
 		if rec["type"] != "sample" {
 			t.Fatalf("record type = %v, want sample", rec["type"])
 		}
+	}
+}
+
+// TestFlightDirSharedAcrossRuns runs the deadline Unknown twice into
+// one -flight-dir: each process numbers its artifacts from 1, and the
+// second run must add its artifact next to the first, not replace it.
+func TestFlightDirSharedAcrossRuns(t *testing.T) {
+	dir := t.TempDir()
+	for run := 0; run < 2; run++ {
+		cmd := exec.Command(aliveBin, "-quiet", "-widths", "32", "-divmul-max", "0",
+			"-timeout", "150ms", "-flight-dir", dir, "-")
+		cmd.Stdin = strings.NewReader(hardOpt)
+		out, _ := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 3 {
+			t.Fatalf("run %d: exit = %d, want 3 (unknown)\n%s", run, code, out)
+		}
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "flight-*.ndjson"))
+	if err != nil || len(names) != 2 {
+		t.Fatalf("flight artifacts = %v (err %v), want two", names, err)
 	}
 }
 

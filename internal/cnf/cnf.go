@@ -6,6 +6,23 @@
 // failed-literal probing, root-level unit saturation — and the
 // simplified clauses are then loaded into sat.Solver for search.
 //
+// The cost of a pass follows what it finds. Subsumption is MiniSat's
+// backward check: each queued clause scans both polarities of its
+// rarest variable once and tests every candidate with one combined
+// subsume-or-strengthen comparison behind a variable signature (both
+// from internal/sat, shared with the CDCL core's inprocessing). Only
+// the first subsumption pass of a Preprocess call queues every clause;
+// later passes queue the clauses on variables touched since the last
+// pass (resolvents, strengthened and saturated clauses), in a
+// deterministic order. Occurrence lists re-check membership only for a
+// literal that strengthening removed from some clause.
+//
+// Failed-literal probing pays when the formula's root is asserted, as
+// in a one-shot query. An incremental session (internal/solver) passes
+// NoProbe: its base is unasserted Tseitin definitions whose only failed
+// literals are constant gates, and it probes each query under its
+// assumptions in the CDCL core instead.
+//
 // Variable elimination and blocked clause elimination only preserve
 // equisatisfiability, not models, so every clause they remove is
 // recorded on a reconstruction stack together with a witness literal.
@@ -17,11 +34,11 @@ package cnf
 
 import "alive/internal/sat"
 
-// clause is a stored clause plus a 64-bit signature over its literals
-// (a bloom filter: sig(C) ⊆ sig(D) is necessary for C ⊆ D, so most
-// subsumption candidates are rejected without touching the literals).
-// The signature machinery itself — shared with the CDCL core's
-// inprocessing — lives in internal/sat (sat.LitSig, sat.ComputeSig).
+// clause is a stored clause plus a 64-bit signature over its
+// variables (a bloom filter: vars(C) ⊆ vars(D) is necessary both for
+// C ⊆ D and for C strengthening D, so one signature test rejects most
+// candidates of the combined subsumption check without touching the
+// literals).
 type clause struct {
 	lits    []sat.Lit
 	sig     uint64
@@ -31,10 +48,6 @@ type clause struct {
 	// the shorter version, the stale core copy being merely redundant.
 	dirty bool
 }
-
-func litSig(l sat.Lit) uint64 { return sat.LitSig(l) }
-
-func computeSig(lits []sat.Lit) uint64 { return sat.ComputeSig(lits) }
 
 // Formula is a clause database with root-level simplification on add:
 // duplicate literals collapse, tautologies are dropped, literals false
@@ -180,6 +193,8 @@ func (f *Formula) AddClause(lits ...sat.Lit) bool {
 		return false
 	}
 	out := make([]sat.Lit, 0, len(lits))
+	// seen is the variable signature of out: only a literal whose
+	// variable bit is already set can repeat or complement one in out.
 	var seen uint64
 	for _, l := range lits {
 		if f.elim[l.Var()] {
@@ -193,24 +208,23 @@ func (f *Formula) AddClause(lits ...sat.Lit) bool {
 		case -1:
 			continue // false at root: drop
 		}
-		dup := false
-		if litSig(l)&seen != 0 {
+		bit := sat.VarSig(l.Var())
+		if seen&bit != 0 {
+			dup := false
 			for _, o := range out {
 				if o == l {
 					dup = true
 					break
 				}
+				if o == l.Not() {
+					return true // tautology
+				}
+			}
+			if dup {
+				continue
 			}
 		}
-		if dup {
-			continue
-		}
-		for _, o := range out {
-			if o == l.Not() {
-				return true // tautology
-			}
-		}
-		seen |= litSig(l)
+		seen |= bit
 		out = append(out, l)
 	}
 	switch len(out) {
@@ -220,7 +234,7 @@ func (f *Formula) AddClause(lits ...sat.Lit) bool {
 	case 1:
 		return f.assign(out[0])
 	}
-	f.clauses = append(f.clauses, &clause{lits: out, sig: computeSig(out)})
+	f.clauses = append(f.clauses, &clause{lits: out, sig: seen})
 	f.live++
 	return true
 }

@@ -82,11 +82,30 @@ type Result struct {
 type prep struct {
 	f *Formula
 	// occ[int(lit)] lists indices into f.clauses of clauses containing
-	// lit; entries go stale when clauses are deleted or strengthened and
-	// are dropped lazily by occList. Eliminated-variable marks and the
-	// reconstruction stack live on the Formula so they persist across
-	// the repeated Preprocess calls of an incremental session.
-	occ    [][]int
+	// lit. Entries of deleted clauses are dropped lazily by occList; an
+	// entry whose clause lost lit to strengthening is only possible in a
+	// list flagged stale, and occList re-checks membership there alone.
+	// Eliminated-variable marks and the reconstruction stack live on the
+	// Formula so they persist across the repeated Preprocess calls of an
+	// incremental session.
+	occ   [][]int
+	stale []bool
+	// touched marks the variables of clauses added (resolvents) or
+	// shrunk (strengthening, root saturation) since the last subsumption
+	// pass, in first-touch order in touchedVars. Every pass after the
+	// first queues only the clauses on those variables: any other pair
+	// of live clauses was already checked, and neither side has changed.
+	touched     []bool
+	touchedVars []int
+	// queue is the subsumption work list; queued[ci] dedupes it.
+	// subsuming is set while a pass drains it, so clauses shrunk
+	// mid-pass go straight back on the queue.
+	queue     []int
+	queued    []bool
+	subsuming bool
+	// resBuf and resEnd hold one variable's resolvents end to end.
+	resBuf []sat.Lit
+	resEnd []int
 	budget int64
 	stop   *sat.StopFlag
 	stats  *Stats
@@ -108,11 +127,14 @@ func Preprocess(f *Formula, opts Options) *Result {
 		rounds = defaultMaxRounds
 	}
 	p := &prep{
-		f:      f,
-		occ:    make([][]int, 2*(f.nvars+1)),
-		budget: budget,
-		stop:   opts.Stop,
-		stats:  &res.Stats,
+		f:       f,
+		occ:     make([][]int, 2*(f.nvars+1)),
+		stale:   make([]bool, 2*(f.nvars+1)),
+		touched: make([]bool, f.nvars+1),
+		queued:  make([]bool, len(f.clauses)),
+		budget:  budget,
+		stop:    opts.Stop,
+		stats:   &res.Stats,
 	}
 	for ci, c := range f.clauses {
 		if c.deleted {
@@ -131,7 +153,7 @@ func Preprocess(f *Formula, opts Options) *Result {
 		res.Stats.Rounds++
 		changed := int64(0)
 		if !opts.NoSubsume {
-			changed += p.subsume()
+			changed += p.subsume(round == 0)
 		}
 		if !opts.NoElim {
 			changed += p.eliminate()
@@ -162,17 +184,25 @@ func (p *prep) halted() bool { return p.budget <= 0 || p.stop.Stopped() }
 
 func contains(lits []sat.Lit, l sat.Lit) bool { return sat.ContainsLit(lits, l) }
 
-// occList returns the live occurrence list of l, compacting out stale
-// entries in place.
+// occList returns the live occurrence list of l, compacting out the
+// entries of deleted clauses in place (and, when the list is flagged
+// stale, of clauses that no longer contain l).
 func (p *prep) occList(l sat.Lit) []int {
 	lst := p.occ[l]
 	out := lst[:0]
-	for _, ci := range lst {
-		c := p.f.clauses[ci]
-		if c.deleted || !contains(c.lits, l) {
-			continue
+	if p.stale[l] {
+		p.stale[l] = false
+		for _, ci := range lst {
+			if c := p.f.clauses[ci]; !c.deleted && contains(c.lits, l) {
+				out = append(out, ci)
+			}
 		}
-		out = append(out, ci)
+	} else {
+		for _, ci := range lst {
+			if !p.f.clauses[ci].deleted {
+				out = append(out, ci)
+			}
+		}
 	}
 	p.occ[l] = out
 	return out
@@ -187,7 +217,54 @@ func (p *prep) addClause(lits []sat.Lit) {
 		for _, l := range p.f.clauses[ci].lits {
 			p.occ[l] = append(p.occ[l], ci)
 		}
+		p.queued = append(p.queued, false)
+		p.touch(ci)
 	}
+}
+
+// touch records that clause ci is new or shrank: during a subsumption
+// pass it goes back on the queue, otherwise its variables seed the
+// next pass's queue.
+func (p *prep) touch(ci int) {
+	if p.subsuming {
+		p.enqueue(ci)
+		return
+	}
+	for _, l := range p.f.clauses[ci].lits {
+		if v := l.Var(); !p.touched[v] {
+			p.touched[v] = true
+			p.touchedVars = append(p.touchedVars, v)
+		}
+	}
+}
+
+func (p *prep) enqueue(ci int) {
+	if !p.queued[ci] {
+		p.queued[ci] = true
+		p.queue = append(p.queue, ci)
+	}
+}
+
+// removeLit deletes literal x from clause ci. A clause left with one
+// literal is deleted and its literal assigned at the root (false on
+// conflict); otherwise the clause is touched.
+func (p *prep) removeLit(ci int, x sat.Lit) bool {
+	f := p.f
+	c := f.clauses[ci]
+	out := c.lits[:0]
+	for _, y := range c.lits {
+		if y != x {
+			out = append(out, y)
+		}
+	}
+	c.lits = out
+	c.sig = sat.ClauseSig(out)
+	if len(out) == 1 {
+		f.delete(c)
+		return f.assign(out[0])
+	}
+	p.touch(ci)
+	return true
 }
 
 // saturate propagates pending root-level units through the clause
@@ -206,21 +283,9 @@ func (p *prep) saturate() {
 			f.delete(f.clauses[ci])
 		}
 		for _, ci := range p.occList(l.Not()) {
-			c := f.clauses[ci]
-			p.spend(len(c.lits))
-			out := c.lits[:0]
-			for _, x := range c.lits {
-				if x != l.Not() {
-					out = append(out, x)
-				}
-			}
-			c.lits = out
-			c.sig = computeSig(out)
-			if len(out) == 1 {
-				f.delete(c)
-				if !f.assign(out[0]) {
-					return
-				}
+			p.spend(len(f.clauses[ci].lits))
+			if !p.removeLit(ci, l.Not()) {
+				return
 			}
 		}
 		p.occ[l] = nil
@@ -228,130 +293,130 @@ func (p *prep) saturate() {
 	}
 }
 
-// subsume runs backward subsumption and self-subsuming resolution over
-// every live clause: a clause C deletes any D ⊇ C, and strengthens any
-// D ⊇ (C \ {l}) ∪ {¬l} by removing ¬l. Strengthened clauses re-enter
-// the queue.
-func (p *prep) subsume() int64 {
+// subsume runs backward subsumption and self-subsuming resolution in
+// the MiniSat style. The first pass of a Preprocess call queues every
+// live clause; later passes queue only the clauses on touched
+// variables. Each queued clause C scans the occurrence lists of both
+// polarities of its rarest variable once: every D with C ⊆ D is
+// deleted, and every D ⊇ (C \ {l}) ∪ {¬l} loses ¬l (the resolvent of C
+// and D on l subsumes D). A clause that shrinks goes back on the queue,
+// so a pass that is not halted leaves no subsumption or strengthening
+// between live clauses.
+func (p *prep) subsume(all bool) int64 {
 	f := p.f
-	changed := int64(0)
-	queue := make([]int, 0, len(f.clauses))
-	for ci, c := range f.clauses {
-		if !c.deleted {
-			queue = append(queue, ci)
+	if all {
+		for ci, c := range f.clauses {
+			if !c.deleted {
+				p.enqueue(ci)
+			}
+		}
+	} else {
+		for _, v := range p.touchedVars {
+			for _, ci := range p.occList(sat.MkLit(v, false)) {
+				p.enqueue(ci)
+			}
+			for _, ci := range p.occList(sat.MkLit(v, true)) {
+				p.enqueue(ci)
+			}
 		}
 	}
-	for qi := 0; qi < len(queue); qi++ {
-		if !f.ok || p.halted() {
-			break
+	for _, v := range p.touchedVars {
+		p.touched[v] = false
+	}
+	p.touchedVars = p.touchedVars[:0]
+
+	p.subsuming = true
+	changed := int64(0)
+	for qi := 0; qi < len(p.queue) && f.ok && !p.halted(); qi++ {
+		ci := p.queue[qi]
+		p.queued[ci] = false
+		if c := f.clauses[ci]; !c.deleted {
+			changed += p.backward(ci, c)
 		}
-		ci := queue[qi]
-		c := f.clauses[ci]
-		if c.deleted {
-			continue
+	}
+	// A halted pass ends the run, so whatever is left queued is dropped.
+	p.queue = p.queue[:0]
+	p.subsuming = false
+	return changed
+}
+
+// backward checks clause c (index ci) against every clause on its
+// rarest variable and returns the number of clauses it deleted or
+// strengthened.
+func (p *prep) backward(ci int, c *clause) int64 {
+	f := p.f
+	best := c.lits[0].Var()
+	bestN := len(p.occ[c.lits[0]]) + len(p.occ[c.lits[0].Not()])
+	for _, l := range c.lits[1:] {
+		if n := len(p.occ[l]) + len(p.occ[l.Not()]); n < bestN {
+			best, bestN = l.Var(), n
 		}
-		// Backward subsumption: every D ⊇ C occurs in the occurrence
-		// list of each literal of C, so scanning the cheapest one finds
-		// them all.
-		best := c.lits[0]
-		for _, l := range c.lits[1:] {
-			if len(p.occ[l]) < len(p.occ[best]) {
-				best = l
-			}
-		}
-		for _, di := range p.occList(best) {
-			if di == ci {
-				continue
-			}
+	}
+	changed := int64(0)
+	for _, neg := range [2]bool{false, true} {
+		for _, di := range p.occList(sat.MkLit(best, neg)) {
 			d := f.clauses[di]
-			if d.deleted || len(d.lits) < len(c.lits) {
+			if di == ci || d.deleted || len(d.lits) < len(c.lits) {
 				continue
 			}
 			p.spend(len(c.lits))
 			if c.sig&^d.sig != 0 {
 				continue
 			}
-			if subsumes(c.lits, d.lits) {
+			flip, ok := sat.SubsumeOrStrengthen(c.lits, d.lits)
+			if !ok {
+				continue
+			}
+			changed++
+			if flip == sat.NoLit {
 				f.delete(d)
 				p.stats.ClausesSubsumed++
-				changed++
+				continue
 			}
-		}
-		// Self-subsuming resolution: if (C \ {l}) ∪ {¬l} ⊆ D, the
-		// resolvent of C and D on l subsumes D, so ¬l can be dropped
-		// from D.
-		for _, l := range c.lits {
-			if c.deleted || !f.ok {
-				break
+			p.stats.ClausesStrengthened++
+			if di < f.sentClauses {
+				f.markDirty(di)
 			}
-			sigFlip := c.sig&^litSig(l) | litSig(l.Not())
-			for _, di := range p.occList(l.Not()) {
-				d := f.clauses[di]
-				if d.deleted || len(d.lits) < len(c.lits) {
-					continue
-				}
-				p.spend(len(c.lits))
-				if sigFlip&^d.sig != 0 {
-					continue
-				}
-				if !strengthens(c.lits, l, d.lits) {
-					continue
-				}
-				out := d.lits[:0]
-				for _, x := range d.lits {
-					if x != l.Not() {
-						out = append(out, x)
-					}
-				}
-				d.lits = out
-				d.sig = computeSig(out)
-				p.stats.ClausesStrengthened++
-				changed++
-				if len(out) == 1 {
-					f.delete(d)
-					if !f.assign(out[0]) {
-						return changed
-					}
-					p.saturate()
-				} else {
-					if di < f.sentClauses {
-						f.markDirty(di)
-					}
-					queue = append(queue, di)
-				}
+			if !p.removeLit(di, flip.Not()) {
+				return changed
 			}
+			if d.deleted {
+				// D became a root unit. Saturation may shrink or delete C
+				// and compacts occurrence lists in place, so stop scanning
+				// and let C's next turn on the queue finish the job.
+				p.saturate()
+				if !c.deleted {
+					p.enqueue(ci)
+				}
+				return changed
+			}
+			p.stale[flip.Not()] = true
 		}
 	}
 	return changed
 }
 
-// subsumes reports c ⊆ d (shared core in internal/sat).
-func subsumes(c, d []sat.Lit) bool { return sat.Subsumes(c, d) }
-
-// strengthens reports (c \ {l}) ∪ {¬l} ⊆ d (shared core in internal/sat).
-func strengthens(c []sat.Lit, l sat.Lit, d []sat.Lit) bool { return sat.Strengthens(c, l, d) }
-
-// resolve returns the resolvent of a and b on variable v, or ok=false
-// when it is tautological.
-func resolve(a, b []sat.Lit, v int) (out []sat.Lit, ok bool) {
-	out = make([]sat.Lit, 0, len(a)+len(b)-2)
+// resolve appends the resolvent of a and b on variable v to buf. On a
+// tautological resolvent it returns buf unchanged and ok=false.
+func resolve(buf, a, b []sat.Lit, v int) (out []sat.Lit, ok bool) {
+	start := len(buf)
 	for _, l := range a {
 		if l.Var() != v {
-			out = append(out, l)
+			buf = append(buf, l)
 		}
 	}
 	for _, l := range b {
 		if l.Var() == v {
 			continue
 		}
-		if contains(out, l.Not()) {
-			return nil, false
+		if contains(buf[start:], l.Not()) {
+			return buf[:start], false
 		}
-		if !contains(out, l) {
-			out = append(out, l)
+		if !contains(buf[start:], l) {
+			buf = append(buf, l)
 		}
 	}
-	return out, true
+	return buf, true
 }
 
 // eliminate runs NiVER-style bounded variable elimination: a variable v
@@ -381,19 +446,21 @@ func (p *prep) eliminate() int64 {
 		if len(pos)+len(neg) == 0 || len(pos)*len(neg) > elimProductLimit {
 			continue
 		}
+		// The resolvents go end to end into one reused buffer; AddClause
+		// copies whatever it keeps.
 		limit := len(pos) + len(neg)
-		resolvents := make([][]sat.Lit, 0, limit)
+		buf, ends := p.resBuf[:0], p.resEnd[:0]
 		feasible := true
 		for _, pi := range pos {
 			for _, ni := range neg {
 				cp, cn := f.clauses[pi], f.clauses[ni]
 				p.spend(len(cp.lits) + len(cn.lits))
-				r, ok := resolve(cp.lits, cn.lits, v)
-				if !ok {
+				var ok bool
+				if buf, ok = resolve(buf, cp.lits, cn.lits, v); !ok {
 					continue
 				}
-				resolvents = append(resolvents, r)
-				if len(resolvents) > limit {
+				ends = append(ends, len(buf))
+				if len(ends) > limit {
 					feasible = false
 					break
 				}
@@ -402,6 +469,7 @@ func (p *prep) eliminate() int64 {
 				break
 			}
 		}
+		p.resBuf, p.resEnd = buf, ends
 		if !feasible {
 			continue
 		}
@@ -430,11 +498,13 @@ func (p *prep) eliminate() int64 {
 		f.elim[v] = true
 		p.stats.VarsEliminated++
 		changed++
-		for _, r := range resolvents {
-			p.addClause(r)
+		start := 0
+		for _, end := range ends {
+			p.addClause(buf[start:end])
 			if !f.ok {
 				return changed
 			}
+			start = end
 		}
 	}
 	return changed

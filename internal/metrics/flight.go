@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -14,8 +16,10 @@ import (
 // FlightSchema versions the flight-recorder artifact layout.
 //
 // History: 1 — initial: one "flight" header record followed by one
-// "sample" record per retained ring-buffer entry.
-const FlightSchema = 1
+// "sample" record per retained ring-buffer entry. 2 — header gains
+// gave_up_phase; a sample taken at an Unknown exit outside the SAT
+// search gains phase.
+const FlightSchema = 2
 
 // defaultFlightSamples is the ring capacity when MaxSamples is unset:
 // enough to cover the last few dozen restart boundaries of a grind
@@ -26,8 +30,9 @@ const defaultFlightSamples = 64
 // when a verification ends Unknown (any reason, including a memory-
 // governor trip) or runs longer than Slow, the verifier hands its
 // sample ring here and an NDJSON file lands in Dir. The recorder is
-// safe for concurrent use by corpus workers; each artifact gets a
-// process-unique sequence number.
+// safe for concurrent use by corpus workers. Each artifact is named by
+// the first sequence number free in Dir, so runs in several processes
+// can share one Dir without overwriting each other's artifacts.
 type FlightRecorder struct {
 	// Dir receives the artifacts; it is created on first write.
 	Dir string
@@ -74,6 +79,7 @@ type FlightHeader struct {
 	Escalations      int              `json:"escalations"`
 	GaveUpAssignment string           `json:"gave_up_assignment,omitempty"`
 	GaveUpCondition  string           `json:"gave_up_condition,omitempty"`
+	GaveUpPhase      string           `json:"gave_up_phase,omitempty"`
 	SpanPath         string           `json:"span_path,omitempty"`
 	SamplesTotal     int64            `json:"samples_total"`
 	SamplesKept      int              `json:"samples_kept"`
@@ -104,13 +110,12 @@ func (f *FlightRecorder) Record(hdr FlightHeader, counters telemetry.Counters, r
 	if err := os.MkdirAll(f.Dir, 0o755); err != nil {
 		return "", err
 	}
-	name := fmt.Sprintf("flight-%06d-%s.ndjson", f.seq.Add(1), sanitizeName(hdr.Transform))
-	path := filepath.Join(f.Dir, name)
-	tmp := path + ".tmp"
-	file, err := os.Create(tmp)
+	file, err := os.CreateTemp(f.Dir, ".flight-*.tmp")
 	if err != nil {
 		return "", err
 	}
+	tmp := file.Name()
+	defer os.Remove(tmp)
 	enc := json.NewEncoder(file)
 	err = enc.Encode(hdr)
 	for _, s := range samples {
@@ -122,14 +127,32 @@ func (f *FlightRecorder) Record(hdr FlightHeader, counters telemetry.Counters, r
 	if cerr := file.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
 	if err != nil {
-		os.Remove(tmp)
 		return "", err
 	}
-	return path, nil
+	// Publish the finished file under the next free name: reserve the
+	// name with an exclusive create, which fails rather than open a file
+	// another process made first, then rename the finished file over the
+	// empty reservation. A taken name moves this artifact on to the next
+	// number; no step needs hard links or replaces another artifact.
+	name := sanitizeName(hdr.Transform)
+	//alive:bounded — every turn takes a fresh number; Dir holds finitely many names.
+	for {
+		path := filepath.Join(f.Dir, fmt.Sprintf("flight-%06d-%s.ndjson", f.seq.Add(1), name))
+		slot, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			continue
+		}
+		if err != nil {
+			return "", err
+		}
+		slot.Close()
+		if err := os.Rename(tmp, path); err != nil {
+			os.Remove(path)
+			return "", err
+		}
+		return path, nil
+	}
 }
 
 // sanitizeName maps a transform name onto a safe filename fragment.

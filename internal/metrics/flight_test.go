@@ -37,6 +37,7 @@ func TestFlightRecorderArtifact(t *testing.T) {
 		Queries:          2,
 		GaveUpAssignment: "i8 i8",
 		GaveUpCondition:  "value",
+		GaveUpPhase:      "preprocess",
 		SpanPath:         "transform/assignment[0]/check:value",
 	}, counters, ring)
 	if err != nil {
@@ -74,7 +75,7 @@ func TestFlightRecorderArtifact(t *testing.T) {
 	if hdr["type"] != "flight" || hdr["schema"] != float64(FlightSchema) {
 		t.Errorf("bad header tags: %v", hdr)
 	}
-	if hdr["reason"] != "deadline" || hdr["samples_total"] != float64(6) || hdr["samples_kept"] != float64(4) {
+	if hdr["reason"] != "deadline" || hdr["gave_up_phase"] != "preprocess" || hdr["samples_total"] != float64(6) || hdr["samples_kept"] != float64(4) {
 		t.Errorf("bad header body: %v", hdr)
 	}
 	cm, ok := hdr["counters"].(map[string]any)
@@ -96,6 +97,31 @@ func TestFlightRecorderArtifact(t *testing.T) {
 	}
 	if !strings.HasPrefix(filepath.Base(path2), "flight-000002-query") {
 		t.Errorf("second artifact name %q", filepath.Base(path2))
+	}
+}
+
+// TestFlightRecorderSharedDir records the same transform from two
+// recorders — two runs, each numbering from 1 — into one directory:
+// both artifacts must survive, and no temporary file may be left.
+func TestFlightRecorderSharedDir(t *testing.T) {
+	dir := t.TempDir()
+	for run := 0; run < 2; run++ {
+		fr := &FlightRecorder{Dir: dir}
+		if _, err := fr.Record(FlightHeader{Transform: "hard"}, telemetry.Counters{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"flight-000001-hard.ndjson", "flight-000002-hard.ndjson"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("directory holds %v, want %v", names, want)
 	}
 }
 

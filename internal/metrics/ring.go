@@ -34,6 +34,12 @@ type SolverSample struct {
 	Trail         int   `json:"trail"`
 	RecentLBDx100 int64 `json:"recent_lbd_x100"`
 	TrailEMAx100  int64 `json:"trail_ema_x100"`
+
+	// Phase is set only on the final sample of a query that gave up
+	// outside the SAT search: the pipeline phase it stopped in. A
+	// "presolve" or "cegis" sample stopped before any core existed and
+	// holds no solver state.
+	Phase string `json:"phase,omitempty"`
 }
 
 // Ring is a fixed-capacity buffer of the most recent SolverSamples for

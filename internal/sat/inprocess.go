@@ -236,7 +236,7 @@ func (s *Solver) strengthen(d *clause, l Lit) bool {
 		keep = append(keep, x)
 	}
 	d.lits = keep
-	d.sig = ComputeSig(keep)
+	d.sig = ClauseSig(keep)
 	switch len(keep) {
 	case 0:
 		s.ok = false
@@ -273,7 +273,7 @@ func (s *Solver) subsumeNewLearnts() bool {
 	occ := make([][]*clause, len(s.watches))
 	index := func(cs []*clause) {
 		for _, c := range cs {
-			c.sig = ComputeSig(c.lits)
+			c.sig = ClauseSig(c.lits)
 			for _, l := range c.lits {
 				occ[l] = append(occ[l], c)
 			}
@@ -291,46 +291,38 @@ func (s *Solver) subsumeNewLearnts() bool {
 		if c.deleted || s.ipHalted() {
 			continue
 		}
-		// Backward subsumption: every D ⊇ C appears in the occurrence
-		// list of each literal of C; scan the cheapest.
-		best := c.lits[0]
+		// Every D that C subsumes or strengthens contains C's rarest
+		// variable in one polarity or the other: scan both occurrence
+		// lists once with the combined test. Strengthening edits D in
+		// place without updating occ, which the test tolerates: it
+		// checks all of C against D's current literals.
+		best := c.lits[0].Var()
+		bestN := len(occ[c.lits[0]]) + len(occ[c.lits[0].Not()])
 		for _, l := range c.lits[1:] {
-			if len(occ[l]) < len(occ[best]) {
-				best = l
+			if n := len(occ[l]) + len(occ[l.Not()]); n < bestN {
+				best, bestN = l.Var(), n
 			}
 		}
-		for _, d := range occ[best] {
-			if d == c || d.deleted || len(d.lits) < len(c.lits) {
-				continue
-			}
-			s.ipSpend(len(c.lits))
-			if c.sig&^d.sig != 0 || !ContainsLit(d.lits, best) {
-				continue
-			}
-			if Subsumes(c.lits, d.lits) {
-				s.removeClause(d)
-				s.learntsSubsumed++
-			}
-		}
-		// Self-subsuming strengthening: drop ¬l from any D where the
-		// resolvent of C and D on l subsumes D.
-		for _, l := range c.lits {
-			if c.deleted {
-				break
-			}
-			sigFlip := c.sig&^LitSig(l) | LitSig(l.Not())
-			for _, d := range occ[l.Not()] {
+		for _, neg := range [2]bool{false, true} {
+			for _, d := range occ[MkLit(best, neg)] {
 				if d == c || d.deleted || len(d.lits) < len(c.lits) {
 					continue
 				}
 				s.ipSpend(len(c.lits))
-				if sigFlip&^d.sig != 0 || !ContainsLit(d.lits, l.Not()) {
+				if c.sig&^d.sig != 0 {
 					continue
 				}
-				if !Strengthens(c.lits, l, d.lits) {
+				flip, ok := SubsumeOrStrengthen(c.lits, d.lits)
+				if !ok {
 					continue
 				}
-				if !s.strengthen(d, l.Not()) {
+				if flip == NoLit {
+					s.removeClause(d)
+					s.learntsSubsumed++
+					continue
+				}
+				// The resolvent of C and D on flip subsumes D: drop ¬flip.
+				if !s.strengthen(d, flip.Not()) {
 					return false
 				}
 			}

@@ -32,6 +32,12 @@ type SampleStats struct {
 	Trail         int
 	RecentLBDx100 int64
 	TrailEMAx100  int64
+
+	// Phase is empty on the samples Solve takes itself. A caller that
+	// gives up outside a search sets it to the pipeline phase it stopped
+	// in; a query stopped before it built a core sends a sample with
+	// Phase set and every other field zero.
+	Phase string
 }
 
 // sampleStats builds a snapshot. Only called when OnSample is non-nil,
@@ -63,6 +69,12 @@ func (s *Solver) sampleStats() SampleStats {
 	}
 	return st
 }
+
+// Sample returns a snapshot of the search internals. Solve delivers its
+// own through OnSample; a caller that gives up outside Solve (while
+// still encoding or preprocessing) takes one here, sets Phase, and
+// delivers it itself.
+func (s *Solver) Sample() SampleStats { return s.sampleStats() }
 
 // emitSample fires the OnSample hook if one is attached.
 func (s *Solver) emitSample() {

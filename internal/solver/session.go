@@ -340,13 +340,18 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 	}
 	se := s.sess
 	warm := se.solves > 0
+	core, form, bl := se.core, se.form, se.bl
+	// Per query: the warm core outlives any one query, so the sampling
+	// hook is refreshed each time rather than pinned at session
+	// creation. Every Unknown exit below leaves at least one sample:
+	// Solve emits its own, and the exits before or between searches go
+	// through sampleExit.
+	core.OnSample = s.OnSample
 
 	faultinject.Fire(faultinject.SiteIncremental, s.Stop)
 	if s.Stop.Stopped() {
-		return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+		return s.giveUp(PhaseBitblast, core)
 	}
-
-	core, form, bl := se.core, se.form, se.bl
 
 	bspan := qspan.Child("bitblast", "bitblast")
 	hintsBefore := s.Stats.HintLits
@@ -354,7 +359,7 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 	vcLit, stopped := lowerStopped(bl, blastTerm)
 	if stopped {
 		bspan.End()
-		return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+		return s.giveUp(PhaseBitblast, core)
 	}
 	if refined != nil {
 		s.seedHints(guardedDB{db: se.db, guard: vcLit}, bl, refined)
@@ -366,7 +371,7 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 	plan, planStopped := slicePlan(b, bl, blastTerm, vcLit, s.Miter)
 	if planStopped {
 		bspan.End()
-		return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+		return s.giveUp(PhaseSlicePlan, core)
 	}
 	if warm {
 		s.Stats.EncodingsReused += bl.Hits - hitsBefore
@@ -393,7 +398,11 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 		bl.EachInterfaceVar(form.Freeze)
 		form.Freeze(vcLit.Var())
 		ppspan := qspan.Child("preprocess", "preprocess")
-		pre := cnf.Preprocess(form, cnf.Options{Stop: s.Stop})
+		// No failed-literal probing here: the base is unasserted Tseitin
+		// definitions, each gate satisfiable for any input, so the only
+		// failed literals are those of constant gates. Probing that pays
+		// runs per query under its assumptions (ProbeUnder below).
+		pre := cnf.Preprocess(form, cnf.Options{Stop: s.Stop, NoProbe: true})
 		pst := pre.Stats
 		s.Stats.VarsEliminated += pst.VarsEliminated
 		s.Stats.ClausesSubsumed += pst.ClausesSubsumed
@@ -421,7 +430,7 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 			panic("solver: incremental session base formula became unsatisfiable")
 		}
 		if s.Stop.Stopped() {
-			return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+			return s.giveUp(PhasePreprocess, core)
 		}
 		form.LoadDelta(core)
 	}
@@ -444,10 +453,6 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 	} else {
 		core.OnInprocess = nil
 	}
-	// Per-query like OnInprocess: the warm core outlives any one query,
-	// so the sampling hook is refreshed each time rather than pinned at
-	// session creation.
-	core.OnSample = s.OnSample
 
 	// Solve the plan: a bit-sliced plan is Unsat only if every sub-query
 	// is, and ends at the first Sat (its model satisfies the whole
@@ -458,6 +463,7 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 	// already-constrained search space.
 	var delta coreDelta
 	st := Unsat
+	phase := PhaseCDCL
 	remaining := s.MaxConflicts
 	solveOne := func(assumps []sat.Lit, cap int64) Status {
 		if se.solves > 0 {
@@ -490,6 +496,11 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 				}
 				s.Stats.ProbeUnits += int64(len(probed))
 			}
+			if s.Stop.Stopped() {
+				phase = PhaseProbe
+				s.sampleExit(phase, core)
+				return Unknown
+			}
 		}
 		core.MaxConflicts = cap
 		before := coreCounters(core)
@@ -509,12 +520,11 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 		return r
 	}
 	for i, assumps := range plan {
-		if s.Stop.Stopped() {
+		// Giving up between two searches: the last Solve returned Unsat
+		// (or none ran), so no sample marks this exit yet.
+		if s.Stop.Stopped() || s.MaxConflicts > 0 && remaining <= 0 && i > 0 {
 			st = Unknown
-			break
-		}
-		if s.MaxConflicts > 0 && remaining <= 0 && i > 0 {
-			st = Unknown
+			s.sampleExit(phase, core)
 			break
 		}
 		st = solveOne(assumps, remaining)
@@ -544,6 +554,7 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 		// reconstruction replay is needed.
 		res.Model = s.extractModel(bl, collectVars(formula), core.ValueOf)
 	case Unknown:
+		res.Phase = phase
 		if s.Stop.Stopped() || core.Interrupted() {
 			res.Cause = CauseStopped
 		} else {

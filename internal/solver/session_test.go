@@ -121,3 +121,42 @@ func TestSessionConflictBudget(t *testing.T) {
 		t.Fatalf("easy query after budget unknown: got %v, want sat", r.Status)
 	}
 }
+
+// TestSessionStopLeavesOneSample: a query stopped in presolve, before
+// it reaches the session, still ends with exactly one sample. The
+// sample is tagged with the phase and holds no solver state: the warm
+// session core is not this query's core, so it is not sampled.
+func TestSessionStopLeavesOneSample(t *testing.T) {
+	b := smt.NewBuilder()
+	var samples []sat.SampleStats
+	s := Solver{Incremental: true, Stop: &sat.StopFlag{}, OnSample: func(ss sat.SampleStats) {
+		samples = append(samples, ss)
+	}}
+	x := b.Var("x", 8)
+	if r := s.Check(b, b.Eq(b.Mul(x, x), b.ConstUint(8, 9))); r.Status != Sat {
+		t.Fatalf("warm-up query: got %v, want sat", r.Status)
+	}
+	samples = samples[:0]
+	s.Stop.Stop()
+	r := s.Check(b, b.Eq(b.Mul(x, x), b.ConstUint(8, 49)))
+	if r.Status != Unknown || r.Cause != CauseStopped || r.Phase != PhasePresolve {
+		t.Fatalf("stopped check = %v/%v in %q, want unknown/stopped in %q", r.Status, r.Cause, r.Phase, PhasePresolve)
+	}
+	if len(samples) != 1 {
+		t.Fatalf("stopped check left %d samples, want 1", len(samples))
+	}
+	if got := samples[0]; got != (sat.SampleStats{Phase: PhasePresolve}) {
+		t.Fatalf("sample = %+v, want only Phase %q", got, PhasePresolve)
+	}
+}
+
+// TestSessionBudgetPhase: a conflict-budget Unknown gave up in CDCL.
+func TestSessionBudgetPhase(t *testing.T) {
+	b := smt.NewBuilder()
+	samples := 0
+	s := Solver{Incremental: true, MaxConflicts: 1, OnSample: func(sat.SampleStats) { samples++ }}
+	r := s.Check(b, hardFactoring(b)...)
+	if r.Status != Unknown || r.Phase != PhaseCDCL || samples == 0 {
+		t.Fatalf("budget-limited check = %v in %q with %d samples, want unknown in %q with samples", r.Status, r.Phase, samples, PhaseCDCL)
+	}
+}

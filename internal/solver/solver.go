@@ -53,6 +53,17 @@ func (c UnknownCause) String() string {
 	return "none"
 }
 
+// Phases a query can give up in, reported as Result.Phase on Unknown.
+const (
+	PhasePresolve   = "presolve"
+	PhaseBitblast   = "bitblast"
+	PhaseSlicePlan  = "slice-plan"
+	PhasePreprocess = "preprocess"
+	PhaseProbe      = "probe"
+	PhaseCDCL       = "cdcl"
+	PhaseCEGIS      = "cegis"
+)
+
 // Result is the outcome of a satisfiability query. Model is non-nil only
 // for Sat. It assigns every variable appearing in the assertion terms as
 // passed to Check; variables a caller built but that construction-time
@@ -66,6 +77,9 @@ type Result struct {
 	Model  *smt.Model
 	// Cause classifies Unknown results (CauseNone otherwise).
 	Cause UnknownCause
+	// Phase names the pipeline phase an Unknown result gave up in (one
+	// of the Phase constants; empty otherwise).
+	Phase string
 	// Stats
 	Conflicts int64
 	Clauses   int
@@ -208,7 +222,7 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 	}
 	faultinject.Fire(faultinject.SitePresolve, s.Stop)
 	if s.Stop.Stopped() {
-		return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+		return s.giveUp(PhasePresolve, nil)
 	}
 
 	qspan := s.Span.Child("smt-check", "solver")
@@ -301,7 +315,7 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 	bspan := qspan.Child("bitblast", "bitblast")
 	if stopped := assertStopped(bl, blastTerm); stopped {
 		bspan.End()
-		return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+		return s.giveUp(PhaseBitblast, core)
 	}
 	hintsBefore := s.Stats.HintLits
 	if refined != nil {
@@ -348,7 +362,7 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 			return Result{Status: Unsat, Rounds: 1}
 		}
 		if s.Stop.Stopped() {
-			return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+			return s.giveUp(PhasePreprocess, core)
 		}
 		pre.Load(core)
 	}
@@ -408,6 +422,7 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 		}
 		res.Model = s.extractModel(bl, collectVars(formula), value)
 	} else if st == Unknown {
+		res.Phase = PhaseCDCL
 		if core.Interrupted() {
 			res.Cause = CauseStopped
 		} else {
@@ -538,7 +553,9 @@ func (s *Solver) CheckExistsForall(b *smt.Builder, body *smt.Term, forallVars []
 	for round := 1; round <= maxRounds; round++ {
 		faultinject.Fire(faultinject.SiteCEGIS, s.Stop)
 		if s.Stop.Stopped() {
-			return Result{Status: Unknown, Cause: CauseStopped, Conflicts: totalConflicts, Rounds: round}
+			r := s.giveUp(PhaseCEGIS, nil)
+			r.Conflicts, r.Rounds = totalConflicts, round
+			return r
 		}
 		s.Stats.CEGISRounds++
 		rspan := outer.Child("cegis-round", "cegis")
@@ -553,7 +570,7 @@ func (s *Solver) CheckExistsForall(b *smt.Builder, body *smt.Term, forallVars []
 		totalConflicts += synth.Conflicts
 		if synth.Status != Sat {
 			rspan.End()
-			return Result{Status: synth.Status, Cause: synth.Cause, Conflicts: totalConflicts, Rounds: round}
+			return Result{Status: synth.Status, Cause: synth.Cause, Phase: synth.Phase, Conflicts: totalConflicts, Rounds: round}
 		}
 		// Candidate x: complete the model over all existential vars.
 		xSub := map[string]*smt.Term{}
@@ -577,7 +594,7 @@ func (s *Solver) CheckExistsForall(b *smt.Builder, body *smt.Term, forallVars []
 		case Unsat:
 			return Result{Status: Sat, Model: xModel, Conflicts: totalConflicts, Rounds: round}
 		case Unknown:
-			return Result{Status: Unknown, Cause: verify.Cause, Conflicts: totalConflicts, Rounds: round}
+			return Result{Status: Unknown, Cause: verify.Cause, Phase: verify.Phase, Conflicts: totalConflicts, Rounds: round}
 		}
 		// Counterexample y*: add as a new instantiation.
 		cand := map[string]*smt.Term{}
@@ -590,7 +607,32 @@ func (s *Solver) CheckExistsForall(b *smt.Builder, body *smt.Term, forallVars []
 		}
 		candidates = append(candidates, cand)
 	}
-	return Result{Status: Unknown, Cause: CauseRounds, Conflicts: totalConflicts, Rounds: maxRounds}
+	return Result{Status: Unknown, Cause: CauseRounds, Phase: PhaseCEGIS, Conflicts: totalConflicts, Rounds: maxRounds}
+}
+
+// giveUp is the Unknown result of a query the Stop flag ended in phase
+// outside a SAT search, after its final sample (sampleExit).
+func (s *Solver) giveUp(phase string, core *sat.Solver) Result {
+	s.sampleExit(phase, core)
+	return Result{Status: Unknown, Cause: CauseStopped, Phase: phase, Rounds: 1}
+}
+
+// sampleExit fires one OnSample for an Unknown exit outside Solve,
+// tagged with the phase it gave up in, so a query stopped while
+// encoding or preprocessing leaves a sample just like one stopped
+// mid-search. core is the query's CDCL core; it is nil when the query
+// stopped before building one (presolve, between CEGIS rounds), and the
+// sample then carries the phase alone.
+func (s *Solver) sampleExit(phase string, core *sat.Solver) {
+	if s.OnSample == nil {
+		return
+	}
+	var st sat.SampleStats
+	if core != nil {
+		st = core.Sample()
+	}
+	st.Phase = phase
+	s.OnSample(st)
 }
 
 func instantiation(b *smt.Builder, vars []*smt.Term, f func(v *smt.Term) *smt.Term) map[string]*smt.Term {

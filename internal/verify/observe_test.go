@@ -59,9 +59,11 @@ func readFlight(t *testing.T, path string) (metrics.FlightHeader, []metrics.Solv
 // sample from the ring.
 func TestFlightArtifactOnDeadline(t *testing.T) {
 	tr := parseOne(t, hardTransform)
-	// Escalate the deadline until the artifact has at least one solver
-	// sample: under -race the pipeline slows enough that 150ms can
-	// expire before CDCL reaches its first sample point.
+	// Every Unknown exit leaves at least one sample, but one taken
+	// before the formula reached the core has no shape to check.
+	// Escalate the deadline until the stop lands in the search: under
+	// -race the pipeline slows enough that 150ms can expire while the
+	// first query is still being encoded or preprocessed.
 	var names []string
 	for _, timeout := range []time.Duration{150 * time.Millisecond, 600 * time.Millisecond, 2400 * time.Millisecond} {
 		dir := t.TempDir()
@@ -80,7 +82,14 @@ func TestFlightArtifactOnDeadline(t *testing.T) {
 		if err != nil || len(names) != 1 {
 			t.Fatalf("artifacts = %v (err %v), want exactly one", names, err)
 		}
-		if _, samples := readFlight(t, names[0]); len(samples) > 0 {
+		hdr, samples := readFlight(t, names[0])
+		if len(samples) == 0 {
+			t.Fatalf("deadline %v: no solver sample, give-up phase %q", timeout, hdr.GaveUpPhase)
+		}
+		if hdr.GaveUpPhase != res.GaveUpPhase || hdr.GaveUpPhase == "" {
+			t.Fatalf("deadline %v: header phase %q, result phase %q", timeout, hdr.GaveUpPhase, res.GaveUpPhase)
+		}
+		if samples[len(samples)-1].Vars > 0 {
 			break
 		}
 	}

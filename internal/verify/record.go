@@ -57,11 +57,14 @@ func (r *queryRecorder) onSample(ss sat.SampleStats) {
 		Trail:         ss.Trail,
 		RecentLBDx100: ss.RecentLBDx100,
 		TrailEMAx100:  ss.TrailEMAx100,
+		Phase:         ss.Phase,
 	}
 	if r.ring != nil {
 		r.ring.Push(s)
 	}
-	if r.gauges != nil {
+	// The final sample of a query stopped before it had a core holds no
+	// solver state, and must not zero the live gauges.
+	if r.gauges != nil && ss != (sat.SampleStats{Phase: ss.Phase}) {
 		r.gauges.update(s)
 	}
 }
@@ -145,6 +148,7 @@ func recordFlight(fr *metrics.FlightRecorder, t string, res *Result, rec *queryR
 		Queries:         res.Queries,
 		Escalations:     res.Escalations,
 		GaveUpCondition: res.GaveUpCondition,
+		GaveUpPhase:     res.GaveUpPhase,
 		SpanPath:        spanPath(res),
 	}
 	if res.GaveUpAssignment >= 0 {

@@ -231,6 +231,10 @@ type Result struct {
 	// "poison", "value", "memory") being discharged when the verifier
 	// gave up; empty when it gave up between conditions or not at all.
 	GaveUpCondition string
+	// GaveUpPhase names the solver phase the give-up happened in
+	// (solver.PhaseBitblast, PhasePreprocess, PhaseCDCL, …); empty when
+	// the verifier gave up outside a solver query or not at all.
+	GaveUpPhase string
 	// PanicStack is the recovered stack trace when Reason == ReasonPanic.
 	PanicStack string
 	// Escalations counts conflict-budget ladder retries across all type
@@ -449,6 +453,7 @@ func VerifyContext(ctx context.Context, t *ir.Transform, opts Options) (res Resu
 			res.Reason = detail.reason
 			res.GaveUpAssignment = i
 			res.GaveUpCondition = detail.condition
+			res.GaveUpPhase = detail.phase
 			res.Err = detail.err
 			return res
 		}
@@ -460,6 +465,7 @@ func VerifyContext(ctx context.Context, t *ir.Transform, opts Options) (res Resu
 type unknownDetail struct {
 	reason    UnknownReason
 	condition string
+	phase     string
 	err       error
 }
 
@@ -645,7 +651,7 @@ func verifyOne(t *ir.Transform, asg *typing.Assignment, opts Options, maxConflic
 		case solver.Unsat:
 			continue
 		case solver.Unknown:
-			return Unknown, nil, queries, unknownDetail{reason: g.mapCause(r.Cause), condition: condName(cond.kind)}
+			return Unknown, nil, queries, unknownDetail{reason: g.mapCause(r.Cause), condition: condName(cond.kind), phase: r.Phase}
 		}
 		cex := buildCex(t, asg, enc, cond.kind, cond.name, r.Model)
 		return Invalid, cex, queries, unknownDetail{}
