@@ -281,6 +281,24 @@ func LoadVerifyReport(path string) (*VerifyReport, error) {
 	return &rep, nil
 }
 
+// counterBetter gives the direction of the outcome counters, marked as
+// BENCHMARK.json marks them: "higher" means more is the better result
+// (simplifications found, encodings or learnt clauses reused), so the
+// gate guards against a fall. Every counter not listed measures work
+// and is better lower.
+var counterBetter = map[string]string{
+	"clauses_subsumed":     "higher",
+	"learnts_subsumed":     "higher",
+	"vars_eliminated":      "higher",
+	"clauses_strengthened": "higher",
+	"clauses_blocked":      "higher",
+	"probe_units":          "higher",
+	"clauses_vivified":     "higher",
+	"vivify_shrunk_lits":   "higher",
+	"encodings_reused":     "higher",
+	"learnts_retained":     "higher",
+}
+
 // CompareVerifyReports diffs a run against a baseline. The policy keeps
 // CI meaningful without becoming flaky across runner speeds:
 //
@@ -290,6 +308,8 @@ func LoadVerifyReport(path string) (*VerifyReport, error) {
 //     CNF sizes, ...) fail when they grow beyond the tolerance (plus a
 //     small absolute slack so near-zero counters don't trip on noise);
 //     shrinking is reported as an improvement note, not a failure;
+//   - outcome counters (counterBetter) are mirrored: they fail when they
+//     fall beyond the tolerance and slack, and growth is a note;
 //   - wall-clock time and peak heap are machine-dependent and are
 //     reported as notes only.
 func CompareVerifyReports(base, cur *VerifyReport, tol float64) (fails, notes []string) {
@@ -344,6 +364,16 @@ func CompareVerifyReports(base, cur *VerifyReport, tol float64) (fails, notes []
 	const slack = 16 // absolute headroom so near-zero counters aren't all-noise
 	for i, name := range names {
 		b, c := baseVals[i], curVals[i]
+		if counterBetter[name] == "higher" {
+			floor := int64(float64(b)*(1-tol)) - slack
+			switch {
+			case c < floor:
+				fails = append(fails, fmt.Sprintf("%s: %d, baseline %d (floor %d, higher is better)", name, c, b, floor))
+			case float64(c) > float64(b)*(1+tol):
+				notes = append(notes, fmt.Sprintf("%s improved: %d from %d", name, c, b))
+			}
+			continue
+		}
 		limit := int64(float64(b)*(1+tol)) + slack
 		switch {
 		case c > limit:

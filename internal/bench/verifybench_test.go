@@ -244,3 +244,62 @@ func TestCompareVerifyReportsNearZeroSlack(t *testing.T) {
 		t.Fatalf("near-zero counter motion flagged: %v", fails)
 	}
 }
+
+func TestCompareVerifyReportsCounterDirection(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		set       func(*VerifyReport, int64)
+		base, cur int64
+		fail      bool
+		note      string // substring of an expected note; "" for none
+	}{
+		// Work counters: growth past the limit fails, a fall is a note.
+		{"work grows past limit", func(r *VerifyReport, v int64) { r.Counters.Conflicts = v }, 1000, 1300, true, ""},
+		{"work grows within limit", func(r *VerifyReport, v int64) { r.Counters.Conflicts = v }, 1000, 1200, false, ""},
+		{"work falls", func(r *VerifyReport, v int64) { r.Counters.Conflicts = v }, 1000, 500, false, "conflicts improved"},
+		// Outcome counters: the mirror image.
+		{"outcome falls past floor", func(r *VerifyReport, v int64) { r.Counters.ProbeUnits = v }, 711, 177, true, ""},
+		{"outcome falls within floor", func(r *VerifyReport, v int64) { r.Counters.ProbeUnits = v }, 711, 600, false, ""},
+		{"outcome grows", func(r *VerifyReport, v int64) { r.Counters.LearntsSubsumed = v }, 39, 538, false, "learnts_subsumed improved"},
+		{"outcome grows within tolerance", func(r *VerifyReport, v int64) { r.Counters.ClausesSubsumed = v }, 15572, 17755, false, ""},
+		{"outcome near zero", func(r *VerifyReport, v int64) { r.Counters.ClausesBlocked = v }, 10, 0, false, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, cur := sampleReport(), sampleReport()
+			tc.set(base, tc.base)
+			tc.set(cur, tc.cur)
+			fails, notes := CompareVerifyReports(base, cur, 0.25)
+			if got := len(fails) > 0; got != tc.fail {
+				t.Fatalf("fails = %v, want failure %v", fails, tc.fail)
+			}
+			found := false
+			for _, n := range notes {
+				if tc.note != "" && strings.Contains(n, tc.note) {
+					found = true
+				}
+				if tc.note == "" && strings.Contains(n, "improved") {
+					t.Fatalf("unexpected note %q", n)
+				}
+			}
+			if tc.note != "" && !found {
+				t.Fatalf("note %q missing from %v", tc.note, notes)
+			}
+		})
+	}
+}
+
+// TestCounterBetterNamesCounters keeps the direction table in step with
+// the counters block: a misspelled or retired name would silently fall
+// back to the work-counter rule.
+func TestCounterBetterNamesCounters(t *testing.T) {
+	names := map[string]bool{}
+	sampleReport().Counters.Each(func(name string, _ int64) { names[name] = true })
+	for name, better := range counterBetter {
+		if !names[name] {
+			t.Errorf("counterBetter names %q, which is not a counter", name)
+		}
+		if better != "higher" {
+			t.Errorf("counterBetter[%q] = %q; only \"higher\" is meaningful", name, better)
+		}
+	}
+}

@@ -102,8 +102,8 @@ func (s *Solver) inprocess() bool {
 // rootValue returns the root-level truth of l: True/False only for
 // variables assigned at decision level 0.
 func (s *Solver) rootValue(l Lit) Value {
-	if s.vars[l.Var()].value != Unassigned && s.level(l.Var()) == 0 {
-		return s.value(l)
+	if v := s.value(l); v != Unassigned && s.level(l.Var()) == 0 {
+		return v
 	}
 	return Unassigned
 }
@@ -399,7 +399,7 @@ func (s *Solver) vivifyClause(c *clause) bool {
 	}
 	s.detach(c)
 	lits := c.lits
-	keep := make([]Lit, 0, len(lits))
+	keep := s.vivBuf[:0]
 	aborted := false
 scan:
 	for _, l := range lits {
@@ -436,6 +436,7 @@ scan:
 		}
 		keep = append(keep, l)
 	}
+	s.vivBuf = keep
 	s.backtrackTo(0)
 	if aborted || len(keep) == len(lits) {
 		// Nothing proven (or the run was cut short): keep the clause as
@@ -446,7 +447,9 @@ scan:
 	}
 	s.clausesVivified++
 	s.vivifyShrunkLits += int64(len(lits) - len(keep))
-	c.lits = keep
+	// keep is the solver's scratch buffer; the shrunk clause reuses its
+	// old backing array.
+	c.lits = lits[:copy(lits, keep)]
 	// A shrunk clause that retained a root-true literal is simply
 	// satisfied; drop it.
 	for _, l := range keep {

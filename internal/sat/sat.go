@@ -53,16 +53,6 @@ const (
 	False
 )
 
-func (v Value) negate() Value {
-	switch v {
-	case True:
-		return False
-	case False:
-		return True
-	}
-	return Unassigned
-}
-
 // Status is the result of a Solve call.
 type Status int
 
@@ -121,7 +111,6 @@ type watcher struct {
 }
 
 type varData struct {
-	value    Value // current assignment
 	level    int32 // decision level of the assignment
 	reason   *clause
 	activity float64
@@ -131,7 +120,11 @@ type varData struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	vars    []varData // index 0 unused
+	vars []varData // index 0 unused
+	// assigns holds the current value of every literal, indexed by Lit
+	// (MiniSat layout): assigning a variable writes both polarities, so
+	// reading a literal's value is one byte load with no polarity test.
+	assigns []Value
 	watches [][]watcher
 	clauses []*clause
 	learnts []*clause
@@ -247,12 +240,25 @@ type Solver struct {
 	assumptions []Lit
 	conflictSet []Lit // final conflict clause over assumptions
 	model       []bool
+
+	// Scratch buffers owned by the solver and reused across calls, so
+	// conflict analysis, vivification and probing allocate nothing in
+	// the steady state: the learnt clause under construction, the
+	// variables whose seen flag analysis must reset, the reason-chain
+	// stack of litRedundant, the kept literals of vivifyClause, and
+	// ProbeUnder's saved phases.
+	learntBuf []Lit
+	toClear   []int
+	redStack  []Lit
+	vivBuf    []Lit
+	phaseBuf  []bool
 }
 
 // New returns an empty solver.
 func New() *Solver {
 	s := &Solver{varInc: 1, clauseInc: 1, ok: true}
 	s.vars = make([]varData, 1)
+	s.assigns = make([]Value, 2)
 	s.watches = make([][]watcher, 2)
 	s.order = newVarHeap(s)
 	return s
@@ -262,6 +268,7 @@ func New() *Solver {
 func (s *Solver) NewVar() int {
 	v := len(s.vars)
 	s.vars = append(s.vars, varData{})
+	s.assigns = append(s.assigns, Unassigned, Unassigned)
 	s.watches = append(s.watches, nil, nil)
 	s.order.insert(v)
 	return v
@@ -329,13 +336,12 @@ func (s *Solver) Interrupted() bool { return s.Stop.Stopped() }
 // internal error.
 func (s *Solver) Ok() bool { return s.ok }
 
-func (s *Solver) value(l Lit) Value {
-	v := s.vars[l.Var()].value
-	if l.Neg() {
-		return v.negate()
-	}
-	return v
-}
+func (s *Solver) value(l Lit) Value { return s.assigns[l] }
+
+// locked reports whether c is the reason of a current assignment. A
+// clause only ever becomes a reason for its first literal, and reasons
+// are cleared when their variable is unassigned.
+func (s *Solver) locked(c *clause) bool { return s.vars[c.lits[0].Var()].reason == c }
 
 func (s *Solver) level(v int) int { return int(s.vars[v].level) }
 
@@ -352,7 +358,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	// Normalize: drop duplicate and false literals; detect tautologies and
 	// satisfied clauses.
-	out := lits[:0:0]
+	out := make([]Lit, 0, len(lits))
 	seen := map[Lit]bool{}
 	for _, l := range lits {
 		if l.Var() <= 0 || l.Var() >= len(s.vars) {
@@ -392,14 +398,10 @@ func (s *Solver) attach(c *clause) {
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, reason *clause) {
+	s.assigns[l] = True
+	s.assigns[l.Not()] = False
 	vd := &s.vars[l.Var()]
-	if l.Neg() {
-		vd.value = False
-		vd.phase = false
-	} else {
-		vd.value = True
-		vd.phase = true
-	}
+	vd.phase = !l.Neg()
 	vd.level = int32(s.decisionLevel())
 	vd.reason = reason
 	s.trail = append(s.trail, l)
@@ -463,13 +465,15 @@ func (s *Solver) propagate() *clause {
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
-// clause (asserting literal first) and the backtrack level.
+// clause (asserting literal first) and the backtrack level. The clause
+// lives in the solver's scratch buffer and is valid only until the next
+// call; the caller copies it to keep it.
 func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+	learnt := append(s.learntBuf[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
-	var toClear []int
+	toClear := s.toClear[:0]
 
 	//alive:bounded — first-UIP resolution consumes one trail literal per iteration.
 	for {
@@ -522,6 +526,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for _, v := range toClear {
 		s.vars[v].seen = false
 	}
+	s.learntBuf, s.toClear = learnt, toClear
 
 	// Compute backtrack level: second-highest level in the clause.
 	btLevel := 0
@@ -547,7 +552,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // is not mistaken for a redundant one later.
 func (s *Solver) litRedundant(l Lit, toClear *[]int) bool {
 	top := len(*toClear)
-	stack := []Lit{l}
+	stack := append(s.redStack[:0], l)
 	//alive:bounded — each variable is marked seen at most once, so the reason-chain walk visits each trail variable once.
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
@@ -565,6 +570,7 @@ func (s *Solver) litRedundant(l Lit, toClear *[]int) bool {
 					s.vars[u].seen = false
 				}
 				*toClear = (*toClear)[:top]
+				s.redStack = stack
 				return false
 			}
 			s.vars[v].seen = true
@@ -572,6 +578,7 @@ func (s *Solver) litRedundant(l Lit, toClear *[]int) bool {
 			stack = append(stack, q)
 		}
 	}
+	s.redStack = stack
 	return true
 }
 
@@ -581,8 +588,10 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.vars[v].value = Unassigned
+		l := s.trail[i]
+		s.assigns[l] = Unassigned
+		s.assigns[l.Not()] = Unassigned
+		v := l.Var()
 		s.vars[v].reason = nil
 		s.order.insert(v)
 	}
@@ -750,7 +759,7 @@ func (s *Solver) pickBranchLit() Lit {
 		if !ok {
 			return 0
 		}
-		if s.vars[v].value == Unassigned {
+		if s.value(MkLit(v, false)) == Unassigned {
 			s.decisions++
 			return MkLit(v, !s.vars[v].phase)
 		}
@@ -775,18 +784,12 @@ func (s *Solver) reduceDB() {
 		return
 	}
 	s.dbReductions++
-	locked := map[*clause]bool{}
-	for _, l := range s.trail {
-		if r := s.vars[l.Var()].reason; r != nil {
-			locked[r] = true
-		}
-	}
 	var local []*clause
 	for _, c := range s.learnts {
 		if c.tier == tierTwo && s.conflicts-c.touched > tier2Stale {
 			c.tier = tierLocal
 		}
-		if c.tier == tierLocal && len(c.lits) > 2 && !locked[c] {
+		if c.tier == tierLocal && len(c.lits) > 2 && !s.locked(c) {
 			local = append(local, c)
 		}
 	}
@@ -875,7 +878,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			s.model = s.model[:len(s.vars)]
 			for v := 1; v < len(s.vars); v++ {
-				s.model[v] = s.vars[v].value == True
+				s.model[v] = s.value(MkLit(v, false)) == True
 			}
 		}
 		if st != Unknown {
@@ -938,7 +941,9 @@ func (s *Solver) search(conflictBudget int64) Status {
 			if len(learnt) == 1 && btLevel == 0 {
 				s.uncheckedEnqueue(learnt[0], nil)
 			} else {
-				c := &clause{lits: learnt, learnt: true, touched: s.conflicts, lbd: lbd + 1}
+				lits := make([]Lit, len(learnt))
+				copy(lits, learnt)
+				c := &clause{lits: lits, learnt: true, touched: s.conflicts, lbd: lbd + 1}
 				s.setLBD(c, lbd)
 				s.learnts = append(s.learnts, c)
 				if !s.DisableInprocess && len(s.newLearnts) < maxNewLearnts {
@@ -1045,10 +1050,11 @@ func (s *Solver) ProbeUnder(ctx []Lit) (failed []Lit, feasible bool) {
 	// snapshot and restore them so probing is invisible to the
 	// branching heuristic. Registered before the backtrack defer so it
 	// runs after the trail is unwound.
-	phases := make([]bool, len(s.vars))
+	phases := s.phaseBuf[:0]
 	for i := range s.vars {
-		phases[i] = s.vars[i].phase
+		phases = append(phases, s.vars[i].phase)
 	}
+	s.phaseBuf = phases
 	defer func() {
 		for i := range s.vars {
 			s.vars[i].phase = phases[i]
@@ -1073,7 +1079,7 @@ func (s *Solver) ProbeUnder(ctx []Lit) (failed []Lit, feasible bool) {
 	for pass := 0; pass < 4; pass++ {
 		progress := false
 		for v := 1; v < len(s.vars); v++ {
-			if s.vars[v].value != Unassigned {
+			if s.value(MkLit(v, false)) != Unassigned {
 				continue
 			}
 			// The pass count bounds the fixpoint, but every probe runs

@@ -396,20 +396,8 @@ func BenchmarkPigeonhole7(b *testing.B) {
 }
 
 func BenchmarkRandom3SAT(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n, m := 60, 250
-	clauses := make([][]int, m)
-	for i := range clauses {
-		c := make([]int, 3)
-		for j := range c {
-			v := 1 + rng.Intn(n)
-			if rng.Intn(2) == 0 {
-				v = -v
-			}
-			c[j] = v
-		}
-		clauses[i] = c
-	}
+	n := 60
+	clauses := random3SAT(1, n, 250)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := New()

@@ -15,6 +15,10 @@ import (
 // clauses so every benchmark iteration can replay it into a fresh
 // cnf.Formula.
 type recordedCNF struct {
+	// name is the corpus transformation the condition came from; hard
+	// marks one with a multiply, divide or remainder.
+	name    string
+	hard    bool
 	nvars   int
 	clauses [][]sat.Lit
 	// frozen lists the interface variables a session would freeze:
@@ -57,6 +61,7 @@ func corpusVCs(tb testing.TB) (asserted, session []*recordedCNF) {
 	tb.Helper()
 	opts := Options{Widths: []int{4, 8}}.withDefaults()
 	for _, tr := range suite.ParseAll() {
+		hard := hasHardArith(tr)
 		asgs, err := typing.Infer(tr, typing.Options{Widths: opts.Widths, PtrWidth: opts.PtrWidth, MaxAssignments: opts.MaxAssignments})
 		if err != nil {
 			continue
@@ -71,11 +76,11 @@ func corpusVCs(tb testing.TB) (asserted, session []*recordedCNF) {
 				if body.IsTrue() || body.IsFalse() {
 					continue
 				}
-				one := &recordedCNF{}
+				one := &recordedCNF{name: tr.Name, hard: hard}
 				bitblast.New(one).Assert(body)
 				asserted = append(asserted, one)
 
-				sess := &recordedCNF{}
+				sess := &recordedCNF{name: tr.Name, hard: hard}
 				bl := bitblast.New(sess)
 				root := bl.Lit(body)
 				bl.EachInterfaceVar(func(v int) { sess.frozen = append(sess.frozen, v) })
