@@ -12,7 +12,30 @@ var (
 	bashDefault = regexp.MustCompile(`(?m)^defaults:\n +run:\n +shell: *bash *$`)
 	shellLine   = regexp.MustCompile(`(?m)^ +shell: *(.*?) *$`)
 	commentLine = regexp.MustCompile(`(?m)^ *#.*\n`)
+	targetFlag  = regexp.MustCompile(`-(?:fuzz|bench)[= ]'?((?:Fuzz|Benchmark)\w*)`)
+	pkgPath     = regexp.MustCompile(`(?:^|\s)(\./[\w./-]*)`)
 )
+
+// workflows returns the source of every CI workflow file by name.
+func workflows(t *testing.T) map[string]string {
+	t.Helper()
+	files, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no workflow files found")
+	}
+	out := map[string]string{}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[f] = string(src)
+	}
+	return out
+}
 
 // pipefailProblems lists why a workflow's run steps might take a
 // pipeline's exit status from its last command (tee, after an
@@ -34,19 +57,8 @@ func pipefailProblems(src string) []string {
 }
 
 func TestWorkflowGatesUsePipefail(t *testing.T) {
-	files, err := filepath.Glob(".github/workflows/*.yml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no workflow files found")
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range pipefailProblems(string(src)) {
+	for f, src := range workflows(t) {
+		for _, p := range pipefailProblems(src) {
 			t.Errorf("%s: %s", f, p)
 		}
 	}
@@ -68,6 +80,67 @@ func TestPipefailProblems(t *testing.T) {
 	} {
 		if got := pipefailProblems(tc.src); len(got) != tc.want {
 			t.Errorf("%s: problems %q, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// staleTargets lists the -fuzz and -bench targets a workflow names that
+// no test file in the package path on the same line declares. A stale
+// target passes silently: `go test -fuzz=FuzzGone` prints "no fuzz
+// tests to fuzz" and exits 0, and a stale -bench pattern runs nothing.
+func staleTargets(src string) []string {
+	src = commentLine.ReplaceAllString(src, "")
+	var stale []string
+	for _, line := range strings.Split(src, "\n") {
+		for _, m := range targetFlag.FindAllStringSubmatch(line, -1) {
+			pkg := pkgPath.FindStringSubmatch(line)
+			if pkg == nil {
+				stale = append(stale, m[1]+": no package path on its line")
+			} else if !declares(pkg[1], m[1]) {
+				stale = append(stale, m[1]+": no func "+m[1]+" in "+pkg[1])
+			}
+		}
+	}
+	return stale
+}
+
+// declares reports whether a test file in dir declares func name,
+// whatever its build tags.
+func declares(dir, name string) bool {
+	files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	decl := regexp.MustCompile(`(?m)^func ` + name + `\(`)
+	for _, f := range files {
+		if src, err := os.ReadFile(f); err == nil && decl.Match(src) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestWorkflowTargetsExist(t *testing.T) {
+	for f, src := range workflows(t) {
+		for _, p := range staleTargets(src) {
+			t.Errorf("%s: %s", f, p)
+		}
+	}
+}
+
+func TestStaleTargets(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      int
+	}{
+		{"live fuzz target", "run: go test -run='^$' -fuzz=FuzzParse -fuzztime=20s ./internal/parser\n", 0},
+		{"live bench target", "run: go test -run '^$' -bench BenchmarkSolveCorpus -benchtime 1x ./internal/verify/\n", 0},
+		{"build-tagged target", "go test -tags chaos -run='^$' -fuzz=FuzzChaos -fuzztime=20s ./internal/verify\n", 0},
+		{"deleted fuzz target", "go test -run='^$' -fuzz=FuzzGone -fuzztime=20s ./internal/verify\n", 1},
+		{"target in the wrong package", "go test -run='^$' -fuzz=FuzzParse ./internal/verify\n", 1},
+		{"deleted bench target", "go test -run '^$' -bench BenchmarkGone -benchtime 1x ./internal/sat\n", 1},
+		{"no package path", "go test -fuzz=FuzzParse\n", 1},
+		{"commented out", "# go test -fuzz=FuzzGone ./internal/verify\n", 0},
+	} {
+		if got := staleTargets(tc.src); len(got) != tc.want {
+			t.Errorf("%s: stale %q, want %d", tc.name, got, tc.want)
 		}
 	}
 }

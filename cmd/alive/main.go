@@ -104,7 +104,6 @@ func run() int {
 	lintFlag := flag.Bool("lint", false, "reject transformations with lint errors before proving")
 	presolve := flag.String("presolve", "on", "abstract-interpretation presolver before the SAT core (on|off)")
 	preprocess := flag.String("preprocess", "on", "SatELite-style CNF preprocessing between bit-blasting and the SAT core (on|off)")
-	inprocess := flag.String("inprocess", "on", "in-search clause-database analysis in the SAT core: vivification, learnt subsumption, clause GC (on|off)")
 	incremental := flag.String("incremental", "on", "assumption-based incremental solving: one SAT core per type assignment, queries as assumption flips (on|off)")
 	quiet := flag.Bool("quiet", false, "suppress counterexample details")
 	verbose := flag.Bool("v", false, "print per-transformation solver counters")
@@ -139,14 +138,6 @@ func run() int {
 		opts.DisablePreprocess = true
 	default:
 		fmt.Fprintf(os.Stderr, "alive: -preprocess must be on or off, got %q\n", *preprocess)
-		return 2
-	}
-	switch *inprocess {
-	case "on":
-	case "off":
-		opts.DisableInprocess = true
-	default:
-		fmt.Fprintf(os.Stderr, "alive: -inprocess must be on or off, got %q\n", *inprocess)
 		return 2
 	}
 	switch *incremental {
@@ -508,8 +499,7 @@ func printResult(name, file string, res alive.Result, quiet, verbose bool) {
 			c.Decided+c.Simplified, c.Checks, c.CNFVars, c.CNFClauses)
 		fmt.Printf("    preprocess: %d vars eliminated, %d subsumed, %d strengthened, %d blocked, %d probe units\n",
 			c.VarsEliminated, c.ClausesSubsumed, c.ClausesStrengthened, c.ClausesBlocked, c.ProbeUnits)
-		fmt.Printf("    inprocess: %d runs, %d core learnts, %d reductions, %d vivified (-%d lits), %d subsumed\n",
-			c.Inprocessings, c.LBDCore, c.DBReductions, c.ClausesVivified, c.VivifyShrunkLits, c.LearntsSubsumed)
+		fmt.Printf("    clause db: %d core learnts, %d reductions\n", c.LBDCore, c.DBReductions)
 		if c.IncrementalSolves > 0 {
 			fmt.Printf("    incremental: %d session solves, %d assumption lits, %d encodings reused, %d learnts retained\n",
 				c.IncrementalSolves, c.AssumptionLits, c.EncodingsReused, c.LearntsRetained)

@@ -84,7 +84,7 @@ func a(s *Solver) {
 	}
 }
 func b(s *Solver) {
-	for !s.ipHalted() {
+	for !halted() {
 		work()
 	}
 }

@@ -37,9 +37,8 @@ type incrementalReport struct {
 // memoized Tseitin encodings carried across the query stream — must cut
 // total corpus conflicts to at most this fraction of the
 // `-incremental=off` run (a ≥25% reduction). Everything else is held
-// equal between the legs: both run the presolver, the CNF preprocessor
-// (frozen-variable aware on the incremental leg), and in-search
-// inprocessing. Failing this bar means session reuse has stopped paying
+// equal between the legs: both run the presolver and the CNF
+// preprocessor (frozen-variable aware on the incremental leg). Failing this bar means session reuse has stopped paying
 // for itself — typically because clause retirement or encoding
 // memoization regressed.
 const incrementalConflictTarget = 0.75

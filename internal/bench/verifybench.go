@@ -51,7 +51,12 @@ import (
 // fresh-formula sizes, so both are far below schema-4 values; and
 // conflicts/propagations measure searches that start with the previous
 // queries' learnt clauses already in the database.
-const VerifyReportSchema = 5
+// Version 6: restart-boundary inprocessing was deleted from the CDCL
+// core — the counters block lost inprocessings, clauses_vivified,
+// vivify_shrunk_lits and learnts_subsumed, and propagations, conflicts,
+// restarts and the clause-database columns now measure a search that is
+// never simplified mid-run.
+const VerifyReportSchema = 6
 
 // VerifySlow is one entry of the report's slowest-transforms table.
 // Durations are machine-dependent and informational; the comparator
@@ -288,13 +293,10 @@ func LoadVerifyReport(path string) (*VerifyReport, error) {
 // and is better lower.
 var counterBetter = map[string]string{
 	"clauses_subsumed":     "higher",
-	"learnts_subsumed":     "higher",
 	"vars_eliminated":      "higher",
 	"clauses_strengthened": "higher",
 	"clauses_blocked":      "higher",
 	"probe_units":          "higher",
-	"clauses_vivified":     "higher",
-	"vivify_shrunk_lits":   "higher",
 	"encodings_reused":     "higher",
 	"learnts_retained":     "higher",
 }

@@ -192,14 +192,11 @@ func TestCompareVerifyReportsMissingCounterColumn(t *testing.T) {
 }
 
 func TestCompareVerifyReportsSchema4Columns(t *testing.T) {
-	// The schema-4 counters — the clause-database inprocessing block and
-	// the ring presolve — are required columns like any other: a
-	// baseline missing one must fail the gate, not silently compare the
-	// zero value.
-	for _, col := range []string{
-		"lbd_core", "db_reductions", "inprocessings", "clauses_vivified",
-		"vivify_shrunk_lits", "learnts_subsumed", "ring_refuted",
-	} {
+	// The schema-4 counters still reported — the LBD-tiered clause
+	// database and the ring presolve — are required columns like any
+	// other: a baseline missing one must fail the gate, not silently
+	// compare the zero value.
+	for _, col := range []string{"lbd_core", "db_reductions", "ring_refuted"} {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "BENCH_verify.json")
 		if err := WriteVerifyReport(path, sampleReport()); err != nil {
@@ -260,7 +257,7 @@ func TestCompareVerifyReportsCounterDirection(t *testing.T) {
 		// Outcome counters: the mirror image.
 		{"outcome falls past floor", func(r *VerifyReport, v int64) { r.Counters.ProbeUnits = v }, 711, 177, true, ""},
 		{"outcome falls within floor", func(r *VerifyReport, v int64) { r.Counters.ProbeUnits = v }, 711, 600, false, ""},
-		{"outcome grows", func(r *VerifyReport, v int64) { r.Counters.LearntsSubsumed = v }, 39, 538, false, "learnts_subsumed improved"},
+		{"outcome grows", func(r *VerifyReport, v int64) { r.Counters.VarsEliminated = v }, 39, 538, false, "vars_eliminated improved"},
 		{"outcome grows within tolerance", func(r *VerifyReport, v int64) { r.Counters.ClausesSubsumed = v }, 15572, 17755, false, ""},
 		{"outcome near zero", func(r *VerifyReport, v int64) { r.Counters.ClausesBlocked = v }, 10, 0, false, ""},
 	} {

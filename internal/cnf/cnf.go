@@ -9,8 +9,8 @@
 // The cost of a pass follows what it finds. Subsumption is MiniSat's
 // backward check: each queued clause scans both polarities of its
 // rarest variable once and tests every candidate with one combined
-// subsume-or-strengthen comparison behind a variable signature (both
-// from internal/sat, shared with the CDCL core's inprocessing). Only
+// subsume-or-strengthen comparison behind a variable signature
+// (subsume.go). Only
 // the first subsumption pass of a Preprocess call queues every clause;
 // later passes queue the clauses on variables touched since the last
 // pass (resolvents, strengthened and saturated clauses), in a
@@ -208,7 +208,7 @@ func (f *Formula) AddClause(lits ...sat.Lit) bool {
 		case -1:
 			continue // false at root: drop
 		}
-		bit := sat.VarSig(l.Var())
+		bit := varSig(l.Var())
 		if seen&bit != 0 {
 			dup := false
 			for _, o := range out {

@@ -182,8 +182,6 @@ func (p *prep) spend(n int) { p.budget -= int64(n) }
 // cooperative cancellation requested.
 func (p *prep) halted() bool { return p.budget <= 0 || p.stop.Stopped() }
 
-func contains(lits []sat.Lit, l sat.Lit) bool { return sat.ContainsLit(lits, l) }
-
 // occList returns the live occurrence list of l, compacting out the
 // entries of deleted clauses in place (and, when the list is flagged
 // stale, of clauses that no longer contain l).
@@ -258,7 +256,7 @@ func (p *prep) removeLit(ci int, x sat.Lit) bool {
 		}
 	}
 	c.lits = out
-	c.sig = sat.ClauseSig(out)
+	c.sig = clauseSig(out)
 	if len(out) == 1 {
 		f.delete(c)
 		return f.assign(out[0])
@@ -363,12 +361,12 @@ func (p *prep) backward(ci int, c *clause) int64 {
 			if c.sig&^d.sig != 0 {
 				continue
 			}
-			flip, ok := sat.SubsumeOrStrengthen(c.lits, d.lits)
+			flip, ok := subsumeOrStrengthen(c.lits, d.lits)
 			if !ok {
 				continue
 			}
 			changed++
-			if flip == sat.NoLit {
+			if flip == noLit {
 				f.delete(d)
 				p.stats.ClausesSubsumed++
 				continue

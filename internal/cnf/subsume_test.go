@@ -38,8 +38,8 @@ func liveClauses(f *Formula) [][]sat.Lit {
 }
 
 // subsetOf reports c ⊆ d literal by literal, with l (when not
-// sat.NoLit) read as ¬l: the brute-force oracle for both subsumption
-// (l = sat.NoLit) and strengthening on l.
+// noLit) read as ¬l: the brute-force oracle for both subsumption
+// (l = noLit) and strengthening on l.
 func subsetOf(c []sat.Lit, l sat.Lit, d []sat.Lit) bool {
 	for _, x := range c {
 		if x == l {
@@ -70,7 +70,7 @@ func assertClosed(t *testing.T, f *Formula, what string) {
 			if i == j {
 				continue
 			}
-			if subsetOf(c, sat.NoLit, d) {
+			if subsetOf(c, noLit, d) {
 				t.Fatalf("%s: live %v subsumes live %v", what, c, d)
 			}
 			for _, l := range c {
@@ -149,5 +149,48 @@ func TestOldClauseSubsumesResolvent(t *testing.T) {
 	live := liveClauses(f)
 	if len(live) != 1 || len(live[0]) != 2 || !contains(live[0], lit(1)) || !contains(live[0], lit(2)) {
 		t.Fatalf("live clauses = %v, want only (1 ∨ 2)", live)
+	}
+}
+
+// TestSubsumeOrStrengthen covers the combined one-pass test and the
+// variable-signature pre-filter in front of it.
+func TestSubsumeOrStrengthen(t *testing.T) {
+	lits := func(vs ...int) []sat.Lit {
+		out := make([]sat.Lit, len(vs))
+		for i, v := range vs {
+			out[i] = lit(v)
+		}
+		return out
+	}
+	cases := []struct {
+		c, d []int
+		ok   bool
+		flip int // 0: plain subsumption
+	}{
+		{[]int{1, 2}, []int{2, 3, 1}, true, 0},
+		{[]int{1, 2}, []int{-1, 2, 3}, true, 1},
+		{[]int{1, 2}, []int{1, -2}, true, 2},
+		{[]int{1, 2}, []int{-1, -2, 3}, false, 0},
+		{[]int{1, 2}, []int{1, 3}, false, 0},
+		{[]int{1, 2, 3}, []int{1, 2}, false, 0},
+	}
+	for _, tc := range cases {
+		c, d := lits(tc.c...), lits(tc.d...)
+		flip, ok := subsumeOrStrengthen(c, d)
+		if ok != tc.ok {
+			t.Fatalf("%v vs %v: ok = %v, want %v", tc.c, tc.d, ok, tc.ok)
+		}
+		want := noLit
+		if tc.flip != 0 {
+			want = lit(tc.flip)
+		}
+		if ok && flip != want {
+			t.Fatalf("%v vs %v: flip = %v, want %v", tc.c, tc.d, flip, want)
+		}
+		// A hit needs vars(c) ⊆ vars(d), so the signature filter must
+		// never reject one.
+		if ok && clauseSig(c)&^clauseSig(d) != 0 {
+			t.Fatalf("%v vs %v: signature filter rejects a hit", tc.c, tc.d)
+		}
 	}
 }

@@ -51,9 +51,6 @@ const (
 	SitePropagate Site = "cdcl-propagate"
 	// SiteDecide fires before every CDCL branching decision.
 	SiteDecide Site = "cdcl-decide"
-	// SiteInprocess fires at the top of every in-search inprocessing run
-	// and before each vivification candidate.
-	SiteInprocess Site = "cdcl-inprocess"
 	// SiteCEGIS fires at the top of every CEGIS refinement round.
 	SiteCEGIS Site = "cegis-round"
 	// SiteIncremental fires at the top of every incremental-session
@@ -74,7 +71,7 @@ const (
 func Sites() []Site {
 	return []Site{
 		SiteParser, SiteTyping, SiteVCGen, SitePresolve, SiteBitblast,
-		SitePreprocess, SitePropagate, SiteDecide, SiteInprocess,
+		SitePreprocess, SitePropagate, SiteDecide,
 		SiteCEGIS, SiteIncremental, SiteTelemetry, SiteCorpusWorker,
 	}
 }
@@ -174,7 +171,6 @@ var stopCapable = map[Site]bool{
 	SitePreprocess:  true,
 	SitePropagate:   true,
 	SiteDecide:      true,
-	SiteInprocess:   true,
 	SiteCEGIS:       true,
 	SiteIncremental: true,
 }
@@ -226,7 +222,7 @@ func maxHit(s Site) int64 {
 		return 2048
 	case SiteTelemetry:
 		return 512
-	case SitePresolve, SiteBitblast, SitePreprocess, SiteInprocess, SiteCEGIS, SiteIncremental:
+	case SitePresolve, SiteBitblast, SitePreprocess, SiteCEGIS, SiteIncremental:
 		return 96
 	default:
 		return 24

@@ -27,6 +27,66 @@ func addAll(s *Solver, maxVar int, clauses [][]int) bool {
 	return true
 }
 
+// randomInstance generates a random k-SAT instance near the phase
+// transition, hard enough to force conflicts and restarts.
+func randomInstance(rng *rand.Rand) (int, [][]int) {
+	nvars := 20 + rng.Intn(40)
+	nclauses := int(float64(nvars) * (3.5 + rng.Float64()))
+	clauses := make([][]int, nclauses)
+	for i := range clauses {
+		k := 2 + rng.Intn(3)
+		c := make([]int, k)
+		for j := range c {
+			v := 1 + rng.Intn(nvars)
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			c[j] = v
+		}
+		clauses[i] = c
+	}
+	return nvars, clauses
+}
+
+// solveFresh solves clauses with a new solver; a clause set that
+// AddClause already refutes is Unsat.
+func solveFresh(nvars int, clauses [][]int) Status {
+	s := New()
+	if !addAll(s, nvars, clauses) {
+		return Unsat
+	}
+	return s.Solve()
+}
+
+// modelSatisfies reports whether the solver's last model satisfies
+// every clause.
+func modelSatisfies(s *Solver, clauses [][]int) bool {
+	for _, c := range clauses {
+		sat := false
+		for _, v := range c {
+			val := s.ValueOf(abs(v))
+			if v < 0 {
+				val = !val
+			}
+			if val {
+				sat = true
+				break
+			}
+		}
+		if !sat {
+			return false
+		}
+	}
+	return true
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
 func TestTrivial(t *testing.T) {
 	s := New()
 	v := s.NewVar()
@@ -254,6 +314,59 @@ func TestIncrementalGrowth(t *testing.T) {
 	s.AddClause(MkLit(z, true))
 	if st := s.Solve(); st != Unsat {
 		t.Fatal("phase 3 should be unsat")
+	}
+}
+
+// TestIncrementalAddClause differentially checks incremental use: solve
+// a random instance, add a few more clauses, and re-solve the same
+// solver. The status must match a fresh solver over the full clause
+// set, and a Sat model must satisfy every clause, old and new.
+func TestIncrementalAddClause(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for iter := 0; iter < 40; iter++ {
+		nvars, clauses := randomInstance(rng)
+		s := New()
+		if !addAll(s, nvars, clauses) {
+			continue
+		}
+		s.Solve()
+		extra := make([][]int, 3)
+		for i := range extra {
+			c := make([]int, 2)
+			for j := range c {
+				v := 1 + rng.Intn(nvars)
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				c[j] = v
+			}
+			extra[i] = c
+		}
+		all := append(append([][]int{}, clauses...), extra...)
+		want := solveFresh(nvars, all)
+		got := Unsat
+		if addAll(s, nvars, extra) {
+			got = s.Solve()
+		}
+		if got != want {
+			t.Fatalf("iter %d: incremental status %v, reference %v", iter, got, want)
+		}
+		if got == Sat && !modelSatisfies(s, all) {
+			t.Fatalf("iter %d: incremental model wrong", iter)
+		}
+	}
+}
+
+// TestDBReductionRuns asserts the learnt-clause database is reduced on
+// a hard instance and the verdict is still right.
+func TestDBReductionRuns(t *testing.T) {
+	s := New()
+	pigeonhole(s, 7)
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("PHP(8,7) = %v, want unsat", st)
+	}
+	if s.DBReductions() == 0 {
+		t.Fatal("expected at least one DB reduction on PHP(8,7)")
 	}
 }
 

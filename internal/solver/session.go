@@ -77,8 +77,6 @@ func (g guardedDB) NumClauses() int { return g.db.NumClauses() }
 func (s *Solver) initSession(b *smt.Builder) {
 	core := sat.New()
 	core.Stop = s.Stop
-	core.DisableInprocess = s.DisableInprocess
-	core.InprocessConflicts = s.InprocessConflicts
 	se := &session{b: b, core: core}
 	var db bitblast.ClauseDB = core
 	if !s.DisablePreprocess {
@@ -445,14 +443,6 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 	se.lastClauses = int64(core.NumClauses())
 
 	cspan := qspan.Child("cdcl", "sat")
-	if cspan != nil {
-		core.OnInprocess = func() func() {
-			ispan := cspan.Child("inprocess", "inprocess")
-			return func() { ispan.End() }
-		}
-	} else {
-		core.OnInprocess = nil
-	}
 
 	// Solve the plan: a bit-sliced plan is Unsat only if every sub-query
 	// is, and ends at the first Sat (its model satisfies the whole
@@ -568,23 +558,18 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 // each incremental solve can report only its own work.
 type coreDelta struct {
 	propagations, conflicts, decisions, restarts, learned int64
-	lbdCore, dbReductions, inprocessings                  int64
-	clausesVivified, vivifyShrunkLits, learntsSubsumed    int64
+	lbdCore, dbReductions                                 int64
 }
 
 func coreCounters(core *sat.Solver) coreDelta {
 	return coreDelta{
-		propagations:     core.Propagations(),
-		conflicts:        core.Conflicts(),
-		decisions:        core.Decisions(),
-		restarts:         core.Restarts(),
-		learned:          core.Learned(),
-		lbdCore:          core.LBDCore(),
-		dbReductions:     core.DBReductions(),
-		inprocessings:    core.Inprocessings(),
-		clausesVivified:  core.ClausesVivified(),
-		vivifyShrunkLits: core.VivifyShrunkLits(),
-		learntsSubsumed:  core.LearntsSubsumed(),
+		propagations: core.Propagations(),
+		conflicts:    core.Conflicts(),
+		decisions:    core.Decisions(),
+		restarts:     core.Restarts(),
+		learned:      core.Learned(),
+		lbdCore:      core.LBDCore(),
+		dbReductions: core.DBReductions(),
 	}
 }
 
@@ -596,10 +581,6 @@ func (d *coreDelta) add(o coreDelta) {
 	d.learned += o.learned
 	d.lbdCore += o.lbdCore
 	d.dbReductions += o.dbReductions
-	d.inprocessings += o.inprocessings
-	d.clausesVivified += o.clausesVivified
-	d.vivifyShrunkLits += o.vivifyShrunkLits
-	d.learntsSubsumed += o.learntsSubsumed
 }
 
 func (d *coreDelta) sub(o coreDelta) {
@@ -610,10 +591,6 @@ func (d *coreDelta) sub(o coreDelta) {
 	d.learned -= o.learned
 	d.lbdCore -= o.lbdCore
 	d.dbReductions -= o.dbReductions
-	d.inprocessings -= o.inprocessings
-	d.clausesVivified -= o.clausesVivified
-	d.vivifyShrunkLits -= o.vivifyShrunkLits
-	d.learntsSubsumed -= o.learntsSubsumed
 }
 
 func (d *coreDelta) addTo(c *telemetry.Counters) {
@@ -624,8 +601,4 @@ func (d *coreDelta) addTo(c *telemetry.Counters) {
 	c.LearnedClauses += d.learned
 	c.LBDCore += d.lbdCore
 	c.DBReductions += d.dbReductions
-	c.Inprocessings += d.inprocessings
-	c.ClausesVivified += d.clausesVivified
-	c.VivifyShrunkLits += d.vivifyShrunkLits
-	c.LearntsSubsumed += d.learntsSubsumed
 }

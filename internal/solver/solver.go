@@ -106,15 +106,6 @@ type Solver struct {
 	// clauses, probing), and reloaded (the -preprocess=off escape hatch
 	// and the baseline leg of the preprocess bench experiment).
 	DisablePreprocess bool
-	// DisableInprocess turns the SAT core's in-search static analysis off:
-	// no vivification, learnt subsumption, or root-level clause garbage
-	// collection at restart boundaries (the -inprocess=off escape hatch
-	// and the baseline leg of the inprocess bench experiment).
-	DisableInprocess bool
-	// InprocessConflicts overrides the conflicts-between-inprocessings
-	// schedule of the SAT core (<= 0 means the default). Tests and fuzzers
-	// shrink it to force inprocessing on small instances.
-	InprocessConflicts int64
 	// Incremental switches Check/CheckExistsForall onto a persistent
 	// session (session.go): one CDCL core, bit-blaster, and staged CNF
 	// shared by every query this Solver answers, each lowered to its
@@ -298,8 +289,6 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 	core := sat.New()
 	core.MaxConflicts = s.MaxConflicts
 	core.Stop = s.Stop
-	core.DisableInprocess = s.DisableInprocess
-	core.InprocessConflicts = s.InprocessConflicts
 	core.OnSample = s.OnSample
 	// The bit-blaster lowers into the CDCL core directly, or — when the
 	// preprocessor is on — into a staged clause database that is
@@ -369,15 +358,6 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 
 	s.Stats.CDCLRuns++
 	cspan := qspan.Child("cdcl", "sat")
-	if cspan != nil {
-		// Each inprocessing run nests as a child span under the CDCL span,
-		// so Chrome traces show where in the search the static analysis
-		// ran and what it cost.
-		core.OnInprocess = func() func() {
-			ispan := cspan.Child("inprocess", "inprocess")
-			return func() { ispan.End() }
-		}
-	}
 	st := core.Solve()
 	s.Stats.CNFVars += int64(core.NumVars())
 	s.Stats.CNFClauses += int64(core.NumClauses())
@@ -388,10 +368,6 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 	s.Stats.LearnedClauses += core.Learned()
 	s.Stats.LBDCore += core.LBDCore()
 	s.Stats.DBReductions += core.DBReductions()
-	s.Stats.Inprocessings += core.Inprocessings()
-	s.Stats.ClausesVivified += core.ClausesVivified()
-	s.Stats.VivifyShrunkLits += core.VivifyShrunkLits()
-	s.Stats.LearntsSubsumed += core.LearntsSubsumed()
 	if cspan != nil {
 		cspan.SetAttr("status", st.String())
 		cspan.SetInt("propagations", core.Propagations())
@@ -401,10 +377,6 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 		cspan.SetInt("learned_clauses", core.Learned())
 		cspan.SetInt("lbd_core", core.LBDCore())
 		cspan.SetInt("db_reductions", core.DBReductions())
-		cspan.SetInt("inprocessings", core.Inprocessings())
-		cspan.SetInt("clauses_vivified", core.ClausesVivified())
-		cspan.SetInt("vivify_shrunk_lits", core.VivifyShrunkLits())
-		cspan.SetInt("learnts_subsumed", core.LearntsSubsumed())
 		cspan.End()
 	}
 	res := Result{Status: st, Conflicts: core.Conflicts(), Clauses: core.NumClauses(), Rounds: 1}

@@ -79,9 +79,9 @@ func TransformHash(t *ir.Transform) string {
 // only shape which runs end Unknown, and Unknowns are never journaled.
 func optionsFingerprint(o Options) string {
 	o = o.withDefaults()
-	return fmt.Sprintf("widths=%v divmul=%d ptr=%d maxasg=%d simplify=%t lint=%t presolve=%t preprocess=%t inprocess=%t",
+	return fmt.Sprintf("widths=%v divmul=%d ptr=%d maxasg=%d simplify=%t lint=%t presolve=%t preprocess=%t",
 		o.Widths, o.DivMulMaxWidth, o.PtrWidth, o.MaxAssignments,
-		!o.DisableSimplify, o.Lint, !o.DisablePresolve, !o.DisablePreprocess, !o.DisableInprocess)
+		!o.DisableSimplify, o.Lint, !o.DisablePresolve, !o.DisablePreprocess)
 }
 
 // CreateJournal starts a fresh journal at path (truncating any existing

@@ -74,12 +74,12 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 		"PR20186":                    {997, 72028, 3034, 12},
 		"PR21242":                    {262, 12819, 1139, 1},
 		"PR21243":                    {619, 84698, 4147, 5},
-		"PR21245":                    {4542, 823305, 9640, 30},
+		"PR21245":                    {6086, 957790, 11373, 31},
 		"MulDivRem:udiv-of-nuw-mul":  {1994, 140965, 2712, 12},
 		"MulDivRem:urem-of-urem":     {2235, 122475, 4086, 14},
-		"MulDivRem:urem-of-nuw-mul":  {2718, 278613, 3273, 15},
-		"MulDivRem:udiv-narrow-zext": {4114, 590843, 4964, 21},
-		"MulDivRem:udiv-shl-nuw":     {6655, 878848, 8399, 38},
+		"MulDivRem:urem-of-nuw-mul":  {2747, 193609, 3335, 15},
+		"MulDivRem:udiv-narrow-zext": {3886, 470490, 4702, 21},
+		"MulDivRem:udiv-shl-nuw":     {6903, 571991, 8875, 48},
 	}
 	asserted, _ := corpusVCs(t)
 	got := map[string]counts{}
